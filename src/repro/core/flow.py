@@ -10,7 +10,7 @@ touch, including scans without predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pandas as pd
 
@@ -78,11 +78,12 @@ def run_pruning_flow(
     topk_seed: int = 0,
 ) -> FlowResult:
     """Apply filter → join → LIMIT → top-k pruning for one query."""
-    main = tables[spec.table]
-    main_parts = list(main.manifest.partitions)
-    build_parts: List = []
+    # The manifests' partition lists go in as they are: they own the
+    # columnar stats view every pruning step below reads.
+    main_parts = tables[spec.table].manifest.partitions
+    build_parts: Sequence = []
     if spec.join is not None:
-        build_parts = list(tables[spec.join.build_table].manifest.partitions)
+        build_parts = tables[spec.join.build_table].manifest.partitions
     if reader is None:
         def reader(tname, meta):  # noqa: ANN001 — default worker read path
             return tables[tname].read_partition_pandas(meta)

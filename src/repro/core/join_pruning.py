@@ -20,9 +20,22 @@ from __future__ import annotations
 import bisect
 import datetime as _dt
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .filter_pruning import PruneResult
+from .stats import (
+    DATE,
+    DATETIME,
+    FLOAT,
+    INT,
+    STR,
+    PartitionList,
+    decode_values,
+    encode_values,
+)
 
 
 def _gap_key(a, b) -> float:
@@ -82,11 +95,21 @@ class RangeSummary:
     def is_empty(self) -> bool:
         return not self.ranges
 
+    @cached_property
+    def _los(self) -> List:
+        return [r[0] for r in self.ranges]
+
+    @cached_property
+    def _encoded(self) -> Tuple[str, np.ndarray, np.ndarray]:
+        """Kind plus native arrays of the range starts and ends."""
+        n = len(self.ranges)
+        kind, both = encode_values(self._los + [r[1] for r in self.ranges])
+        return kind, both[:n], both[n:]
+
     def may_contain(self, v) -> bool:
         if v is None or self.is_empty:
             return False
-        los = [r[0] for r in self.ranges]
-        i = bisect.bisect_right(los, v) - 1
+        i = bisect.bisect_right(self._los, v) - 1
         return i >= 0 and v <= self.ranges[i][1]
 
     def overlaps_interval(self, lo, hi) -> bool:
@@ -99,36 +122,60 @@ class RangeSummary:
             return False
         if lo is None or hi is None:
             return True
-        los = [r[0] for r in self.ranges]
-        i = bisect.bisect_right(los, hi) - 1
+        i = bisect.bisect_right(self._los, hi) - 1
         return i >= 0 and self.ranges[i][1] >= lo
+
+    def overlaps_columns(self, kind: str, lo: np.ndarray, hi: np.ndarray,
+                         mask: np.ndarray) -> np.ndarray:
+        """:meth:`overlaps_interval` for every ``[lo[j], hi[j]]`` where
+        ``mask``, given as native arrays of one value kind
+        (:func:`repro.core.stats.encode_values`); False elsewhere.
+
+        Uses ``np.searchsorted`` when numpy orders these values as Python
+        does, else the scalar method on the Python values.  A ``TypeError``
+        (values the summary cannot be compared with) means overlap.
+        """
+        out = np.zeros(len(mask), dtype=bool)
+        if self.is_empty or not mask.any():
+            return out
+        skind, los, his = self._encoded
+        if kind == skind and kind in (INT, STR, DATE, DATETIME) or (
+            kind == skind == FLOAT and not np.isnan(los).any()
+        ):
+            i = np.searchsorted(los, hi[mask], side="right") - 1
+            out[mask] = (i >= 0) & (his[np.maximum(i, 0)] >= lo[mask])
+            return out
+        xl, xh = decode_values(kind, lo), decode_values(kind, hi)
+        for j in np.flatnonzero(mask).tolist():
+            try:
+                out[j] = self.overlaps_interval(xl[j], xh[j])
+            except TypeError:
+                out[j] = True
+        return out
 
 
 def prune_probe_partitions(
     partitions: Sequence, probe_key: str, summary: RangeSummary
 ) -> PruneResult:
-    """§6.1 steps 3+4: drop probe partitions disjoint from the summary."""
-    retained: List = []
-    pruned: List = []
-    for p in partitions:
-        cs = p.stats.col(probe_key)
-        if p.stats.row_count == 0:
-            pruned.append(p)
-            continue
-        if cs is None:
-            retained.append(p)
-            continue
-        if cs.all_null:
-            # Join keys that are NULL never match an equi-join.
-            pruned.append(p)
-            continue
-        try:
-            keep = summary.overlaps_interval(cs.min, cs.max)
-        except TypeError:
-            keep = True
-        # NULL-keyed rows never join, but rows with non-null keys decide.
-        (retained if keep else pruned).append(p)
-    return PruneResult(retained=retained, pruned=pruned, fully_matching=[])
+    """§6.1 steps 3+4: drop probe partitions disjoint from the summary.
+
+    Empty partitions and partitions whose key is entirely NULL go (NULL
+    keys never match an equi-join); partitions without stats for the key
+    stay; the rest stay iff their [min, max] overlaps a summary range.
+    """
+    parts = PartitionList.of(partitions)
+    table = parts.table
+    c = table.column(probe_key)
+    nonempty = table.row_count > 0
+    test = nonempty & c.present & ~c.all_null
+    unbounded = test & ~(c.has_lo & c.has_hi)
+    keep = (nonempty & ~c.present) | (unbounded & (not summary.is_empty))
+    keep |= summary.overlaps_columns(c.kind, c.lo, c.hi, test & ~unbounded)
+    return PruneResult(
+        retained=parts.take(np.flatnonzero(keep)),
+        pruned=parts.take(np.flatnonzero(~keep)),
+        fully_matching=[],
+    )
 
 
 def summary_fraction(summary: RangeSummary, build_rows: int) -> float:

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .expr import Expr, can_match, columns, eval3, invert
-from .filter_pruning import PruneResult, prune_scan_set
-from .stats import PartitionStats
+import numpy as np
+
+from .expr import Expr, columns, invert
+from .filter_pruning import PruneResult, classify_scan_set
 
 # Table 2 outcome categories (NO_FULLY_MATCHING is folded into
 # "unsupported shapes" when reporting, matching the paper's text).
@@ -38,28 +39,13 @@ def fully_matching_by_inverted_pass(
     predicate and its inversion, so null-freeness of the referenced
     columns must be required on top of the inverted-pass result.
     """
-    inv = invert(pred)
-    cols = columns(pred)
-    out = []
-    for p in partitions:
-        if p.stats.row_count == 0:
-            continue
-        if _has_nulls(p.stats, cols):
-            continue
-        try:
-            if not can_match(eval3(inv, p.stats)):
-                out.append(p)
-        except (TypeError, ValueError):
-            continue
-    return out
-
-
-def _has_nulls(stats: PartitionStats, cols) -> bool:
-    for c in cols:
-        cs = stats.col(c)
-        if cs is None or cs.null_count > 0:
-            return True
-    return False
+    parts, keep_inv, _ = classify_scan_set(partitions, invert(pred))
+    table = parts.table
+    ok = (table.row_count > 0) & ~keep_inv
+    for c in columns(pred):
+        col = table.column(c)
+        ok &= col.present & (col.null_count == 0)
+    return parts.take(np.flatnonzero(ok))
 
 
 @dataclass
@@ -97,28 +83,31 @@ def prune_for_limit(
     ``shape_supported=False`` models queries where the LIMIT cannot be
     pushed down to this table scan (aggregations, most joins, …; §4.3).
     """
-    fr = prune_scan_set(partitions, pred)
-    fully = sorted(fr.fully_matching, key=lambda p: -p.row_count)
-    partial = [p for p in fr.retained if p not in fr.fully_matching]
+    parts, keep, is_fully = classify_scan_set(partitions, pred)
+    fr = PruneResult.from_masks(parts, keep, is_fully)
+    # Positions in ``parts``: fully-matching partitions biggest first
+    # (stable), then the partially-matching ones in scan order.
+    fully_idx = np.flatnonzero(is_fully)
+    rows = parts.table.row_count[fully_idx]
+    fully_idx = fully_idx[np.argsort(-rows, kind="stable")]
+    partial_idx = np.flatnonzero(keep & ~is_fully)
 
     if not shape_supported:
-        return LimitPruneOutcome(UNSUPPORTED_SHAPE, fully + partial, fr, k)
+        scan = parts.take(np.concatenate([fully_idx, partial_idx]))
+        return LimitPruneOutcome(UNSUPPORTED_SHAPE, scan, fr, k)
 
     if len(fr.retained) <= 1:
-        return LimitPruneOutcome(ALREADY_MINIMAL, list(fr.retained), fr, k)
+        return LimitPruneOutcome(ALREADY_MINIMAL, parts.take(np.flatnonzero(keep)),
+                                 fr, k)
 
-    total_fully_rows = sum(p.row_count for p in fully)
-    if total_fully_rows >= k:
+    covered = np.cumsum(parts.table.row_count[fully_idx])
+    if (covered[-1] if len(covered) else 0) >= k:
         # Minimal number of fully-matching partitions covering k rows:
         # biggest-first greedy is optimal for a count-coverage objective.
-        chosen: List = []
-        covered = 0
-        for p in fully:
-            if covered >= k:
-                break
-            chosen.append(p)
-            covered += p.row_count
+        n_chosen = int(np.searchsorted(covered, k, side="left")) + 1 if k > 0 else 0
+        chosen = parts.take(fully_idx[:n_chosen])
         cat = PRUNED_TO_1 if len(chosen) <= 1 else PRUNED_TO_GT1
         return LimitPruneOutcome(cat, chosen, fr, k)
 
-    return LimitPruneOutcome(NO_FULLY_MATCHING, fully + partial, fr, k)
+    scan = parts.take(np.concatenate([fully_idx, partial_idx]))
+    return LimitPruneOutcome(NO_FULLY_MATCHING, scan, fr, k)

@@ -20,10 +20,20 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pandas as pd
 
 from .expr import Expr, to_pandas_mask
-from .stats import PartitionStats
+from .stats import (
+    DATE,
+    DATETIME,
+    FLOAT,
+    INT,
+    STR,
+    PartitionList,
+    PartitionStats,
+    decode_values,
+)
 
 
 def _norm(v):
@@ -87,6 +97,22 @@ def supports_topk_pruning(
 # -- processing order (§5.3) ------------------------------------------------
 
 
+def _stable_order(kind: str, keys: np.ndarray, desc: bool) -> np.ndarray:
+    """Positions that sort ``keys`` like Python's stable ``sorted`` (ties
+    keep their order, also with ``reverse=True``)."""
+    if kind in (INT, STR, DATE, DATETIME) or (
+        kind == FLOAT and not np.isnan(keys).any()
+    ):
+        if not desc:
+            return np.argsort(keys, kind="stable")
+        rev = np.argsort(keys[::-1], kind="stable")[::-1]
+        return len(keys) - 1 - rev
+    # NaN or mixed types: Python's own sort keeps today's order exactly.
+    vals = decode_values(kind, keys).tolist()
+    return np.array(sorted(range(len(vals)), key=vals.__getitem__, reverse=desc),
+                    dtype=np.intp)
+
+
 def order_partitions(
     partitions: Sequence,
     order_col: str,
@@ -101,23 +127,20 @@ def order_partitions(
     early; ``'random'``: the §5.3 baseline.  Partitions lacking stats for
     the order column go last (they cannot seed a good boundary).
     """
-    parts = list(partitions)
     if strategy == "random":
+        parts = list(partitions)
         random.Random(seed).shuffle(parts)
         return parts
     if strategy != "sort":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def key(p):
-        cs = p.stats.col(order_col)
-        v = None if cs is None else (cs.max if desc else cs.min)
-        return (v is None, None) if v is None else (False, v)
-
+    parts = PartitionList.of(partitions)
+    c = parts.table.column(order_col)
+    keys, has = (c.hi, c.has_hi) if desc else (c.lo, c.has_lo)
     # Two-pass: stats-less partitions last, then by boundary tightness.
-    with_stats = [p for p in parts if not key(p)[0]]
-    without = [p for p in parts if key(p)[0]]
-    with_stats.sort(key=lambda p: key(p)[1], reverse=desc)
-    return with_stats + without
+    with_stats = np.flatnonzero(has)
+    order = with_stats[_stable_order(c.kind, keys[with_stats], desc)]
+    return parts.take(np.concatenate([order, np.flatnonzero(~has)]))
 
 
 # -- boundary initialization (§5.4) -----------------------------------------
@@ -143,33 +166,30 @@ def init_boundary(
     """
     if k <= 0:
         return None
+    parts = PartitionList.of(fully_matching)
+    table = parts.table
+    c = table.column(order_col)
+    stated = c.present & ~c.all_null
+    lo, hi = (c.lo, c.has_lo), (c.hi, c.has_hi)
     cand: List = []
 
-    extremes = []
-    for p in fully_matching:
-        cs = p.stats.col(order_col)
-        if cs is not None and not cs.all_null:
-            extremes.append(cs.max if desc else cs.min)
-    extremes.sort(reverse=desc)
-    if len(extremes) >= k:
-        cand.append(extremes[k - 1])
+    def stat(i: int, attr: str):
+        return getattr(parts[int(i)].stats.col(order_col), attr)
 
-    ranked = []
-    for p in fully_matching:
-        cs = p.stats.col(order_col)
-        if cs is None or cs.all_null:
-            continue
-        nn_rows = p.stats.row_count - cs.null_count
-        if nn_rows <= 0:
-            continue
-        ranked.append(((cs.min if desc else cs.max), nn_rows))
-    ranked.sort(key=lambda t: t[0], reverse=desc)
-    cum = 0
-    for bound, rows in ranked:
-        cum += rows
-        if cum >= k:
-            cand.append(bound)
-            break
+    # k-th best of the partitions' max (DESC) / min (ASC)
+    (keys, has), attr = (hi, "max") if desc else (lo, "min")
+    ext = np.flatnonzero(stated & has)
+    if len(ext) >= k:
+        cand.append(stat(ext[_stable_order(c.kind, keys[ext], desc)[k - 1]], attr))
+
+    # by min (DESC) / max (ASC): where the non-null row count reaches k
+    (keys, has), attr = (lo, "min") if desc else (hi, "max")
+    nn_rows = table.row_count - c.null_count
+    ranked = np.flatnonzero(stated & has & (nn_rows > 0))
+    ranked = ranked[_stable_order(c.kind, keys[ranked], desc)]
+    hit = np.flatnonzero(np.cumsum(nn_rows[ranked]) >= k)
+    if len(hit):
+        cand.append(stat(ranked[hit[0]], attr))
 
     if not cand:
         return None

@@ -130,9 +130,13 @@ class LakeScanReader(DataSourceReader):
             parts = [p for p in parts if p.row_count > 0]
         return [_FilePartition(p.path) for p in parts]
 
-    def read(self, partition: _FilePartition):
+    def read(self, partition: Optional[_FilePartition]):
         import pyarrow.parquet as pq
 
+        if partition is None:
+            # Pruning removed every partition: Spark still plans one
+            # read task, with no partition to read.
+            return
         table = pq.read_table(partition.path)
         # Align column order with the declared schema.
         table = table.select([f.name for f in self._schema.fields])

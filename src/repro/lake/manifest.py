@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.core.stats import (
+    PartitionList,
     PartitionStats,
     partition_stats_from_json,
     partition_stats_to_json,
@@ -34,12 +35,20 @@ class PartitionMeta:
 
 @dataclass
 class Manifest:
-    """Table-level metadata: schema + the list of micro-partitions."""
+    """Table-level metadata: schema + the list of micro-partitions.
+
+    ``partitions`` is held as a :class:`~repro.core.stats.PartitionList`,
+    which builds the columnar stats view the pruners read once per
+    manifest and shares it with the scan sets they return.
+    """
 
     name: str
     schema_json: str  # Spark StructType JSON, for empty-scan-set reads
     column_types: Dict[str, str]  # simple type tags: int/float/str/date/...
     partitions: List[PartitionMeta]
+
+    def __post_init__(self) -> None:
+        self.partitions = PartitionList.of(self.partitions)
 
     @property
     def total_rows(self) -> int:
@@ -70,14 +79,14 @@ class Manifest:
             name=d["name"],
             schema_json=d["schema_json"],
             column_types=dict(d["column_types"]),
-            partitions=[
+            partitions=PartitionList(
                 PartitionMeta(
                     pid=int(p["pid"]),
                     path=p["path"],
                     stats=partition_stats_from_json(p["stats"]),
                 )
                 for p in d["partitions"]
-            ],
+            ),
         )
 
     def save(self, path: str | Path) -> None:

@@ -88,6 +88,11 @@ class TestReaderPruning:
         batches = list(reader.read(part))
         assert sum(b.num_rows for b in batches) > 0
 
+    def test_read_without_partition_yields_nothing(self, reader):
+        # Spark plans one read task even when pruning removed every
+        # partition; it hands the reader ``None``.
+        assert list(reader.read(None)) == []
+
 
 @pytest.fixture(scope="module")
 def registered(spark):
@@ -132,6 +137,19 @@ class TestInSpark:
             .filter(cond)
         )
         assert df.count() == events.full(registered).filter(cond).count()
+
+    def test_everything_pruned_matches_unpruned_spark(self, registered, prod_lake):
+        blob = prod_lake["blob"]
+        k_max = max(p.stats.col("k").max for p in blob.manifest.partitions)
+        cond = f"k > {k_max}"
+        df = (
+            registered.read.format("lakescan")
+            .option("path", str(blob.path))
+            .load()
+            .filter(cond)
+        )
+        expected = blob.full(registered).filter(cond).collect()
+        assert len(df.collect()) == len(expected) == 0
 
     def test_schema_from_manifest(self, registered, prod_lake):
         events = prod_lake["events"]

@@ -13,6 +13,7 @@ from repro.core.limit_pruning import (
     fully_matching_by_inverted_pass,
     prune_for_limit,
 )
+from repro.lake.manifest import PartitionMeta
 from .helpers import meta
 from .test_filter_pruning import FIG5_PRED, fig5_partitions
 
@@ -125,3 +126,44 @@ class TestPruneForLimit:
         assert len(out.scan_set) == 5
         out = prune_for_limit(ten_parts(), col("x") >= 45, 501)
         assert out.category == NO_FULLY_MATCHING
+
+
+class TestLargeScanSet:
+    """LIMIT pruning over 10⁴ partitions never compares partitions with
+    ``==`` (a list-membership test made it quadratic)."""
+
+    @staticmethod
+    def greedy(parts, fully_pids, k):
+        fully = sorted((p for p in parts if p.pid in fully_pids),
+                       key=lambda p: -p.row_count)
+        chosen, covered = [], 0
+        for p in fully:
+            if covered >= k:
+                break
+            chosen.append(p.pid)
+            covered += p.row_count
+        return chosen
+
+    @pytest.mark.parametrize("with_pred", [False, True])
+    def test_biggest_first_greedy_without_eq(self, monkeypatch, with_pred):
+        parts = [meta(i, 1 + (i * 7919) % 97, x=(i, i + 1)) for i in range(10_000)]
+        pred = col("x") >= 5_000 if with_pred else None
+        fully_pids = {p.pid for p in parts if not with_pred or p.pid >= 5_000}
+        k = 20_000
+        expected = self.greedy(parts, fully_pids, k)
+
+        def no_eq(self, other):
+            raise AssertionError("PartitionMeta compared with ==")
+
+        monkeypatch.setattr(PartitionMeta, "__eq__", no_eq)
+        out = prune_for_limit(parts, pred, k)
+        assert out.category == PRUNED_TO_GT1
+        assert [p.pid for p in out.scan_set] == expected
+
+    def test_partial_partitions_follow_fully_ones(self, monkeypatch):
+        parts = [meta(i, 10, x=(i, i + 1)) for i in range(10_000)]
+        monkeypatch.setattr(PartitionMeta, "__eq__", lambda s, o: 1 / 0)
+        out = prune_for_limit(parts, col("x") >= 9_990, 10_000)
+        assert out.category == NO_FULLY_MATCHING
+        # 9990..9999 fully (x in [i, i+1] >= 9990), 9989 partial.
+        assert [p.pid for p in out.scan_set] == list(range(9_990, 10_000)) + [9_989]
