@@ -8,8 +8,6 @@ One AST drives everything the paper's pruning stack needs:
   *possible per-row outcomes* ``⊆ {'T','F','N'}``; a partition is prunable
   iff ``'T'`` is impossible (no false negatives), and **fully-matching**
   (§4.2) iff the set is exactly ``{'T'}``;
-* :func:`invert`      — the paper's inverted predicate for the second
-  LIMIT-pruning pass;
 * :func:`to_spark`    — compile to a PySpark ``Column`` for execution;
 * :func:`to_sql`      — compile to SQL text (DuckDB oracle, workload
   classifier);
@@ -529,35 +527,6 @@ def eval3(e: Expr, stats: PartitionStats) -> Outcomes:
         return T_ONLY if e.value else F_ONLY
 
     raise TypeError(f"not a predicate: {e!r}")
-
-
-# --------------------------------------------------------------------------
-# Inverted predicate (§4.2 second pruning pass)
-# --------------------------------------------------------------------------
-
-_CMP_INVERSE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
-
-
-def invert(e: Expr) -> Expr:
-    """Structural negation with De Morgan pushdown.
-
-    NOTE: over rows this is SQL NOT — a row where ``e`` is NULL is NULL
-    under ``invert(e)`` too.  The fully-matching test must therefore use
-    :func:`always_match` (or additionally require null-freeness) rather
-    than "inverted pass yields NEVER" alone; see
-    ``limit_pruning.fully_matching_partitions``.
-    """
-    if isinstance(e, Cmp):
-        return Cmp(_CMP_INVERSE[e.op], e.left, e.right)
-    if isinstance(e, And):
-        return Or(tuple(invert(a) for a in e.args))
-    if isinstance(e, Or):
-        return And(tuple(invert(a) for a in e.args))
-    if isinstance(e, Not):
-        return e.arg
-    if isinstance(e, Lit):
-        return Lit(None if e.value is None else (not e.value))
-    return Not(e)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ applies them and accounts, per technique, whether the query was eligible
 and whether at least one partition was actually pruned (the Fig. 11
 accounting), plus the query-level pruning ratio measured the way the
 paper does for Fig. 4: relative to *all* partitions the query would
-touch, including scans without predicates.
+touch, including scans without predicates.  The final scan sets are
+what Spark reads (`repro.engine.exec_ops.execute`).
 """
 from __future__ import annotations
 
@@ -72,10 +73,6 @@ def run_pruning_flow(
     tables: Dict[str, object],  # name -> LakeTable
     *,
     reader: Optional[Reader] = None,
-    summary_max_ranges: int = 64,
-    topk_strategy: str = "sort",
-    topk_init_boundary: bool = True,
-    topk_seed: int = 0,
 ) -> FlowResult:
     """Apply filter → join → LIMIT → top-k pruning for one query."""
     # The manifests' partition lists go in as they are: they own the
@@ -117,7 +114,7 @@ def run_pruning_flow(
             if j.build_pred is not None and len(pdf):
                 pdf = pdf[to_pandas_mask(j.build_pred, pdf)]
             build_vals.extend(pdf[j.build_key].dropna().tolist())
-        summary = RangeSummary.build(build_vals, max_ranges=summary_max_ranges)
+        summary = RangeSummary.build(build_vals)
         jr = prune_probe_partitions(main_scan, j.probe_key, summary)
         main_scan = jr.retained
         jt.after = len(main_scan)
@@ -148,20 +145,27 @@ def run_pruning_flow(
     ):
         tt.eligible = True
         boundary = None
-        if topk_init_boundary:
-            fully = prune_scan_set(main_scan, spec.pred).fully_matching
+        if spec.join is None:
+            # §5.4 init from the filter step's fully-matching partitions.
+            # Over a join it is skipped: they prove nothing about which
+            # probe rows join.
             boundary = init_boundary(
-                fully, spec.order_col, spec.k, desc=spec.desc
+                main_fr.fully_matching, spec.order_col, spec.k, desc=spec.desc
             )
+
+        def read_main(m):
+            pdf = reader(spec.table, m)
+            if spec.join is not None:  # only probe rows that join count
+                pdf = pdf[pdf[spec.join.probe_key].isin(build_vals)]
+            return pdf
+
         tr = topk_scan(
             main_scan,
-            lambda m: reader(spec.table, m),
+            read_main,
             spec.order_col,
             spec.k,
             pred=spec.pred,
             desc=spec.desc,
-            strategy=topk_strategy,
-            seed=topk_seed,
             initial_boundary=boundary,
         )
         main_scan = tr.scanned

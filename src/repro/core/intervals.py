@@ -117,13 +117,6 @@ def sub(a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def neg(a: Interval) -> Interval:
-    return Interval(
-        None if a.hi is None else -a.hi,
-        None if a.lo is None else -a.lo,
-    )
-
-
 def mul(a: Interval, b: Interval) -> Interval:
     """Product interval via the four corner products.
 
@@ -166,16 +159,6 @@ def prefix_successor(prefix: str) -> Optional[str]:
             return "".join(chars)
         chars.pop()
     return None
-
-
-def prefix_interval(prefix: str) -> Interval:
-    """Interval covering exactly the strings starting with ``prefix``.
-
-    The upper bound is open in principle; we return a closed approximation
-    whose ``hi`` is the successor — callers must use :func:`prefix_overlap`
-    for exact checks.
-    """
-    return Interval(prefix, prefix_successor(prefix))
 
 
 def prefix_overlap(col: Interval, prefix: str) -> bool:

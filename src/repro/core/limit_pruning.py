@@ -1,11 +1,17 @@
 """LIMIT pruning (§4): scan only enough fully-matching partitions.
 
-If the fully-matching partitions (identified by extending filter pruning
-with a second, inverted-predicate pass, §4.2) together hold at least
-``k`` rows, the scan set shrinks to the minimal number of fully-matching
-partitions covering ``k`` — globally IO-optimal for supported queries.
+If the fully-matching partitions together hold at least ``k`` rows,
+the scan set shrinks to the minimal number of fully-matching partitions
+covering ``k`` — globally IO-optimal for supported queries.
 Otherwise the scan set is merely *reordered* to start with
 fully-matching partitions (faster time-to-k, §4.1).
+
+Fully-matching partitions are §4.2's inverted pass: those where the
+inverted predicate provably matches no row.  They come out of the same
+three-valued evaluation as filter pruning (``classify_scan_set``): a
+partition is fully-matching iff TRUE is its only possible row outcome,
+so FALSE (a row the inverted predicate matches) and NULL (a row that
+fails the predicate and its inversion alike) are both ruled out.
 
 Outcome categories mirror Table 2 of the paper.
 """
@@ -16,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, columns, invert
+from .expr import Expr
 from .filter_pruning import PruneResult, classify_scan_set
 
 # Table 2 outcome categories (NO_FULLY_MATCHING is folded into
@@ -26,26 +32,6 @@ UNSUPPORTED_SHAPE = "unsupported_shape"
 NO_FULLY_MATCHING = "no_fully_matching"
 PRUNED_TO_1 = "pruned_to_1"
 PRUNED_TO_GT1 = "pruned_to_gt1"
-
-
-def fully_matching_by_inverted_pass(
-    partitions: Sequence, pred: Expr
-) -> List:
-    """§4.2 verbatim: a second pruning pass with the inverted predicate.
-
-    A partition is fully-matching iff the inverted predicate provably
-    matches *no* row.  SQL's three-valued logic adds one guard the paper
-    leaves implicit: a row where the predicate is NULL fails both the
-    predicate and its inversion, so null-freeness of the referenced
-    columns must be required on top of the inverted-pass result.
-    """
-    parts, keep_inv, _ = classify_scan_set(partitions, invert(pred))
-    table = parts.table
-    ok = (table.row_count > 0) & ~keep_inv
-    for c in columns(pred):
-        col = table.column(c)
-        ok &= col.present & (col.null_count == 0)
-    return parts.take(np.flatnonzero(ok))
 
 
 @dataclass

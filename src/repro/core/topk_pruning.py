@@ -9,9 +9,9 @@ partitions (§5.4), enabling pruning from the very first partition.
 
 The partition scan inside the loop is the simulated warehouse worker: a
 caller-supplied ``reader(meta) -> pandas.DataFrame``; the final query
-result is produced by Spark over the retained scan set and oracle-checked
-in tests (pruning preserves the top-k *value multiset* — SQL top-k is
-nondeterministic among ties anyway).
+result is produced by Spark over the retained scan set and checked in
+tests against Spark over every partition (pruning preserves the top-k
+*value multiset* — SQL top-k is nondeterministic among ties anyway).
 """
 from __future__ import annotations
 
@@ -267,14 +267,12 @@ def topk_scan(
     strategy: str = "sort",
     seed: int = 0,
     initial_boundary: Optional[object] = None,
-    prune: bool = True,
 ) -> TopKScanResult:
     """Run the §5.2 runtime loop over an (already filter-pruned) scan set.
 
     Sequentially processes partitions in the chosen order, maintaining
     the top-k order-value list; prunes each upcoming partition against
-    the current boundary before reading it.  ``prune=False`` gives the
-    standard heap-based baseline (scan everything) for comparison.
+    the current boundary before reading it.
     """
     result = TopKScanResult(initial_boundary=initial_boundary)
     ordered = order_partitions(
@@ -294,7 +292,7 @@ def topk_scan(
                 else (top.iloc[-1] <= boundary)
             )
         )
-        if prune and boundary is not None and _partition_prunable(
+        if boundary is not None and _partition_prunable(
             p.stats, order_col, boundary, desc, heap_covers
         ):
             result.pruned.append(p)

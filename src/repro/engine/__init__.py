@@ -2,6 +2,6 @@
 
 ``datasource`` registers the ``lakescan`` Python DataSource whose
 ``pushFilters`` hook performs manifest min/max pruning inside Catalyst's
-pushdown phase; ``exec_ops`` contains DataFrame-level operators (top-k
-over a pruned scan set, pruned hash join) used by tests and benchmarks.
+pushdown phase; ``exec_ops.execute`` runs a query's SQL in Spark over
+the scan sets ``repro.core.flow.run_pruning_flow`` planned.
 """

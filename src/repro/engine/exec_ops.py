@@ -1,118 +1,40 @@
-"""DataFrame-level execution operators over pruned scan sets.
+"""Spark execution of a planned query.
 
-The paper's runtime techniques (top-k boundary pruning, join pruning)
-exchange information sideways between operators mid-query — not
-expressible inside Catalyst from Python (see DESIGN.md).  So the
-pruning decision runs at the planning layer (`repro.core`) and these
-helpers execute the *resulting* plan with the Spark DataFrame API; the
-DuckDB oracle then verifies that pruned and unpruned plans agree.
+The planner (`repro.core.flow.run_pruning_flow`) decides every scan set,
+filter → join → LIMIT → top-k as in §7.  :func:`execute` then runs the
+query's SQL in Spark over exactly those scan sets.  Without a plan it
+reads every micro-partition: unpruned Spark, the reference a pruned
+execution must agree with.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.expr import Expr, to_spark
-from repro.core.filter_pruning import prune_scan_set
-from repro.core.join_pruning import RangeSummary, prune_probe_partitions
-from repro.core.topk_pruning import TopKScanResult, init_boundary, topk_scan
-from repro.lake import LakeTable
+from repro.core.flow import FlowResult
+from repro.core.query import QuerySpec
 
 
-def filtered_scan(
-    spark: SparkSession, table: LakeTable, pred: Optional[Expr]
-) -> Tuple[DataFrame, object]:
-    """Filter-pruned scan: metadata pruning + Spark-side residual filter."""
-    pr = prune_scan_set(table.manifest.partitions, pred)
-    df = table.scan(spark, pr.retained)
-    if pred is not None:
-        df = df.filter(to_spark(pred))
-    return df, pr
-
-
-def topk_execute(
+def execute(
     spark: SparkSession,
-    table: LakeTable,
-    *,
-    order_col: str,
-    k: int,
-    pred: Optional[Expr] = None,
-    desc: bool = True,
-    strategy: str = "sort",
-    use_init_boundary: bool = True,
-    prune: bool = True,
-    seed: int = 0,
-) -> Tuple[DataFrame, TopKScanResult]:
-    """End-to-end top-k: §5 runtime pruning decides the scan set, Spark
-    produces the final ordered result over exactly those partitions."""
-    fr = prune_scan_set(table.manifest.partitions, pred)
-    boundary = None
-    if prune and use_init_boundary:
-        boundary = init_boundary(fr.fully_matching, order_col, k, desc=desc)
-    tr = topk_scan(
-        fr.retained,
-        table.read_partition_pandas,
-        order_col,
-        k,
-        pred=pred,
-        desc=desc,
-        strategy=strategy,
-        seed=seed,
-        initial_boundary=boundary,
-        prune=prune,
-    )
-    df = table.scan(spark, tr.scanned)
-    if pred is not None:
-        df = df.filter(to_spark(pred))
-    order = (
-        F.col(order_col).desc_nulls_last()
-        if desc
-        else F.col(order_col).asc_nulls_last()
-    )
-    return df.orderBy(order).limit(k), tr
+    tables: Dict[str, object],  # name -> LakeTable
+    spec: QuerySpec,
+    plan: Optional[FlowResult],
+) -> DataFrame:
+    """``spark.sql(spec.to_sql())`` over the plan's final scan sets.
 
-
-def pruned_hash_join(
-    spark: SparkSession,
-    probe: LakeTable,
-    build: LakeTable,
-    *,
-    probe_key: str,
-    build_key: str,
-    probe_pred: Optional[Expr] = None,
-    build_pred: Optional[Expr] = None,
-    max_ranges: int = 64,
-    prune: bool = True,
-) -> Tuple[DataFrame, Dict[str, int]]:
-    """§6 join: summarize the (filtered) build side, prune probe
-    partitions, then execute the equi-join in Spark."""
-    build_fr = prune_scan_set(build.manifest.partitions, build_pred)
-    build_df = build.scan(spark, build_fr.retained)
-    if build_pred is not None:
-        build_df = build_df.filter(to_spark(build_pred))
-
-    probe_fr = prune_scan_set(probe.manifest.partitions, probe_pred)
-    probe_parts = probe_fr.retained
-    stats = {
-        "probe_before": len(probe_parts),
-        "probe_after": len(probe_parts),
-        "build_partitions": len(build_fr.retained),
-    }
-    if prune:
-        build_keys = [
-            r[0] for r in build_df.select(build_key).distinct().collect()
-        ]
-        summary = RangeSummary.build(build_keys, max_ranges=max_ranges)
-        jr = prune_probe_partitions(probe_parts, probe_key, summary)
-        probe_parts = jr.retained
-        stats["probe_after"] = len(probe_parts)
-
-    probe_df = probe.scan(spark, probe_parts)
-    if probe_pred is not None:
-        probe_df = probe_df.filter(to_spark(probe_pred))
-    joined = probe_df.join(
-        build_df, on=probe_df[probe_key] == build_df[build_key], how="inner"
-    )
-    return joined, stats
+    Each table the spec scans is bound as a temp view named after it:
+    ``LakeTable.scan`` of the plan's final scan set, or ``LakeTable.full``
+    when ``plan`` is None.
+    """
+    scans = {spec.table: None if plan is None else plan.final_main_scan}
+    if spec.join is not None:
+        scans[spec.join.build_table] = (
+            None if plan is None else plan.final_build_scan
+        )
+    for name, parts in scans.items():
+        t = tables[name]
+        df = t.full(spark) if parts is None else t.scan(spark, parts)
+        df.createOrReplaceTempView(name)
+    return spark.sql(spec.to_sql())

@@ -251,8 +251,12 @@ PAPER_TABLE6 = {"correlation": "positive", "max_improvement": ">0.999"}
 def table6_topk_runtime(
     spark, tables: Dict[str, object], *, k: int = 10, repeats: int = 1
 ) -> List[Dict[str, object]]:
-    """End-to-end Spark top-k with pruning on/off for a fixed query set."""
-    from repro.engine.exec_ops import topk_execute
+    """End-to-end Spark top-k with pruning on/off for a fixed query set.
+
+    On: ``run_pruning_flow`` plans, Spark runs the SQL over the final
+    scan set.  Off: the same SQL over every partition.
+    """
+    from repro.engine.exec_ops import execute
 
     cases = [
         ("events ORDER BY ts DESC", "events", "ts", True),
@@ -263,26 +267,22 @@ def table6_topk_runtime(
     ]
     rows = []
     for label, tname, order_col, desc in cases:
-        table = tables[tname]
+        spec = q.QuerySpec(
+            qtype=q.TOPK, table=tname, k=k, order_col=order_col, desc=desc
+        )
         timings = {}
-        ratio = 0.0
         for prune in (False, True):
             best = float("inf")
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                df, tr = topk_execute(
-                    spark, table, order_col=order_col, k=k, desc=desc,
-                    prune=prune,
-                )
-                df.collect()
+                plan = run_pruning_flow(spec, tables) if prune else None
+                execute(spark, tables, spec, plan).collect()
                 best = min(best, time.perf_counter() - t0)
             timings[prune] = best
-            if prune:
-                ratio = tr.pruning_ratio
         rows.append(
             {
                 "query": label,
-                "pruning_ratio": ratio,
+                "pruning_ratio": plan.techniques["topk"].ratio,
                 "t_unpruned_s": timings[False],
                 "t_pruned_s": timings[True],
                 "runtime_improvement": 1.0 - timings[True] / timings[False],

@@ -69,19 +69,6 @@ class TestTopKDetection:
         assert C.classify(sql) == C.TOPK_GROUP_KEY
 
 
-class TestBuckets:
-    def test_is_topk(self):
-        assert C.is_topk(C.TOPK_PLAIN)
-        assert C.is_topk(C.TOPK_GROUP_KEY)
-        assert C.is_topk(C.TOPK_GROUP_AGG)
-        assert not C.is_topk(C.LIMIT_PRED)
-
-    def test_is_limit_excludes_topk(self):
-        # Paper's "LIMIT queries" bucket excludes ORDER BY + LIMIT.
-        assert C.is_limit(C.LIMIT_NO_PRED) and C.is_limit(C.LIMIT_PRED)
-        assert not C.is_limit(C.TOPK_PLAIN)
-
-
 class TestAgainstGeneratedSQL:
     """Classifier round-trips the generator's own SQL rendering."""
 

@@ -1,179 +1,177 @@
-"""End-to-end operator tests: pruned plans must produce the same results
-as unpruned plans — checked against the DuckDB oracle over full data."""
+"""End-to-end execution: Spark over the planned scan sets must return
+what Spark over every partition returns (``execute(..., None)``).
+
+Results are compared as the ``query_mix`` benchmark compares them: top-k
+as a multiset of order values, LIMIT by row count, anything else as rows
+in any order.
+"""
 import datetime as dt
 
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.expr import and_, between, col, like, to_spark
-from repro.engine.exec_ops import filtered_scan, pruned_hash_join, topk_execute
-from repro.oracle import assert_equivalent
-
-
-@pytest.fixture(scope="module")
-def events(prod_lake):
-    return prod_lake["events"]
+from repro.core import query as q
+from repro.core.expr import and_, between, col
+from repro.core.flow import run_pruning_flow
+from repro.core.topk_pruning import PlanOp
+from repro.engine.exec_ops import execute
+from repro.lake import LakeTable
 
 
-@pytest.fixture(scope="module")
-def events_pdf(events):
-    return events.to_pandas()
+def _key(row):
+    return tuple((v is None, v) for v in row)
+
+
+def run_both(spark, tables, spec):
+    """(plan, pruned rows, unpruned rows) for one query."""
+    plan = run_pruning_flow(spec, tables)
+    got = execute(spark, tables, spec, plan).collect()
+    ref = execute(spark, tables, spec, None).collect()
+    if spec.qtype == q.LIMIT:
+        assert len(got) == len(ref)
+    elif spec.qtype == q.TOPK:
+        def order_vals(rows):
+            return sorted(
+                (r[spec.order_col] for r in rows), key=lambda v: (v is None, v)
+            )
+        assert order_vals(got) == order_vals(ref)
+    else:
+        assert sorted(map(tuple, got), key=_key) == sorted(
+            map(tuple, ref), key=_key
+        )
+    return plan, got, ref
+
+
+def topk(order_col, k, *, desc=True, pred=None, table="events"):
+    return q.QuerySpec(
+        qtype=q.TOPK, table=table, pred=pred, k=k, order_col=order_col,
+        desc=desc, plan_ops=(PlanOp("filter"),) if pred is not None else (),
+    )
+
+
+def join(build_table, key, build_pred, select_cols=()):
+    return q.QuerySpec(
+        qtype=q.SELECT, table="events", select_cols=select_cols,
+        join=q.JoinSpec(build_table=build_table, build_key=key,
+                        probe_key=key, build_pred=build_pred),
+    )
 
 
 class TestFilteredScan:
-    def test_pruned_scan_matches_oracle(self, spark, events, events_pdf):
-        pred = col("ts") >= dt.date(2025, 1, 1)
-        df, pr = filtered_scan(spark, events, pred)
-        assert len(pr.pruned) > 0, "clustered date filter must prune"
-        assert_equivalent(
-            df.select("event_id", "amount"),
-            "SELECT event_id, amount FROM events "
-            "WHERE ts >= TIMESTAMP '2025-01-01 00:00:00'",
-            events=events_pdf,
+    def test_pruned_scan_matches_oracle(self, spark, prod_lake):
+        spec = q.QuerySpec(
+            qtype=q.SELECT, table="events", select_cols=("event_id", "amount"),
+            pred=col("ts") >= dt.date(2025, 1, 1),
         )
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["filter"].pruned > 0, "clustered date filter must prune"
+        assert got
 
-    def test_range_pred_matches_oracle(self, spark, events, events_pdf):
-        pred = between(
-            col("ts"), dt.date(2024, 3, 1), dt.date(2024, 4, 15)
+    def test_range_pred_matches_oracle(self, spark, prod_lake):
+        spec = q.QuerySpec(
+            qtype=q.SELECT, table="events", select_cols=("event_id",),
+            pred=between(col("ts"), dt.date(2024, 3, 1), dt.date(2024, 4, 15)),
         )
-        df, pr = filtered_scan(spark, events, pred)
-        assert len(pr.pruned) > 0
-        assert_equivalent(
-            df.select("event_id"),
-            "SELECT event_id FROM events "
-            "WHERE ts >= TIMESTAMP '2024-03-01 00:00:00' "
-            "AND ts <= TIMESTAMP '2024-04-15 00:00:00'",
-            events=events_pdf,
-        )
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["filter"].pruned > 0
+        assert got
 
-    def test_conjunction_with_unclustered(self, spark, events, events_pdf):
-        pred = and_(
-            col("ts") >= dt.date(2024, 12, 1),
-            col("etype").eq("purchase"),
+    def test_conjunction_with_unclustered(self, spark, prod_lake):
+        spec = q.QuerySpec(
+            qtype=q.SELECT, table="events", select_cols=("event_id",),
+            pred=and_(col("ts") >= dt.date(2024, 12, 1),
+                      col("etype").eq("purchase")),
         )
-        df, _ = filtered_scan(spark, events, pred)
-        assert_equivalent(
-            df.select("event_id"),
-            "SELECT event_id FROM events WHERE ts >= TIMESTAMP '2024-12-01 00:00:00' "
-            "AND etype = 'purchase'",
-            events=events_pdf,
-        )
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["filter"].pruned > 0
+        assert got
 
-    def test_no_predicate(self, spark, events):
-        df, pr = filtered_scan(spark, events, None)
-        assert df.count() == events.manifest.total_rows
-        assert pr.pruning_ratio == 0.0
+    def test_no_predicate(self, spark, prod_lake):
+        spec = q.QuerySpec(qtype=q.SELECT, table="events",
+                           select_cols=("event_id",))
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert len(got) == prod_lake["events"].manifest.total_rows
+        assert plan.overall_ratio == 0.0
 
 
 class TestTopKExecute:
     @pytest.mark.parametrize("desc", [True, False], ids=["desc", "asc"])
-    def test_topk_values_match_oracle(self, spark, events, events_pdf, desc):
-        k = 25
-        df, tr = topk_execute(
-            spark, events, order_col="amount", k=k, desc=desc
+    def test_topk_values_match_oracle(self, spark, prod_lake, desc):
+        _, got, _ = run_both(spark, prod_lake, topk("amount", 25, desc=desc))
+        assert len(got) == 25
+
+    def test_topk_on_clustered_col_prunes(self, spark, prod_lake):
+        plan, got, _ = run_both(spark, prod_lake, topk("ts", 10))
+        assert plan.techniques["topk"].ratio > 0.7
+        assert len(got) == 10
+
+    def test_topk_with_predicate(self, spark, prod_lake):
+        spec = topk("ts", 15, pred=col("etype").eq("error"))
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["topk"].applied
+        assert len(got) == 15
+
+    def test_pruned_equals_unpruned(self, spark, prod_lake):
+        # k spans several partitions, ASC, with a predicate.
+        spec = topk("ts", 600, desc=False, pred=col("etype").eq("click"))
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["topk"].applied
+        assert len(got) == 600
+
+
+class TestLimit:
+    def test_limit_row_count(self, spark, prod_lake):
+        spec = q.QuerySpec(
+            qtype=q.LIMIT, table="events", k=10,
+            pred=between(col("ts"), dt.date(2024, 3, 1), dt.date(2024, 6, 1)),
         )
-        got = sorted(r["amount"] for r in df.select("amount").collect())
-        order = "DESC" if desc else "ASC"
-        import duckdb
-
-        exp = sorted(
-            r[0]
-            for r in duckdb.sql(
-                f"SELECT amount FROM events_pdf ORDER BY amount {order} "
-                f"LIMIT {k}"
-            ).fetchall()
-        )
-        assert got == pytest.approx(exp)
-
-    def test_topk_on_clustered_col_prunes(self, spark, events):
-        df, tr = topk_execute(spark, events, order_col="ts", k=10)
-        assert tr.pruning_ratio > 0.7
-        assert df.count() == 10
-
-    def test_topk_with_predicate(self, spark, events, events_pdf):
-        pred = col("etype").eq("error")
-        df, tr = topk_execute(
-            spark, events, order_col="ts", k=15, pred=pred
-        )
-        import duckdb
-
-        got = sorted(r["ts"] for r in df.select("ts").collect())
-        exp = sorted(
-            r[0]
-            for r in duckdb.sql(
-                "SELECT ts FROM events_pdf WHERE etype = 'error' "
-                "ORDER BY ts DESC LIMIT 15"
-            ).fetchall()
-        )
-        assert [d.isoformat()[:10] for d in got] == [
-            str(d)[:10] for d in exp
-        ]
-
-    def test_pruned_equals_unpruned(self, spark, events):
-        a, _ = topk_execute(spark, events, order_col="amount", k=30, prune=True)
-        b, _ = topk_execute(spark, events, order_col="amount", k=30, prune=False)
-        va = sorted(r["amount"] for r in a.collect())
-        vb = sorted(r["amount"] for r in b.collect())
-        assert va == pytest.approx(vb)
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["limit"].applied
+        assert len(got) == 10
 
 
 class TestPrunedHashJoin:
     def test_correlated_join_prunes_and_matches(self, spark, prod_lake):
-        events, incidents = prod_lake["events"], prod_lake["incidents"]
-        joined, stats = pruned_hash_join(
-            spark, events, incidents,
-            probe_key="event_id", build_key="event_id",
-            build_pred=col("severity") >= 3,
-        )
-        assert stats["probe_after"] < stats["probe_before"]
-        got = joined.count()
-        unpruned, _ = pruned_hash_join(
-            spark, events, incidents,
-            probe_key="event_id", build_key="event_id",
-            build_pred=col("severity") >= 3,
-            prune=False,
-        )
-        assert got == unpruned.count()
+        spec = join("incidents", "event_id", col("severity") >= 3)
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        jt = plan.techniques["join"]
+        assert jt.after < jt.before
+        assert got
 
     def test_join_matches_oracle(self, spark, prod_lake):
-        events, incidents = prod_lake["events"], prod_lake["incidents"]
-        joined, _ = pruned_hash_join(
-            spark, events, incidents,
-            probe_key="event_id", build_key="event_id",
-            build_pred=col("severity") >= 4,
-        )
-        out = joined.select(
-            F.col("amount"), F.col("severity")
-        )
-        assert_equivalent(
-            out,
-            "SELECT amount, severity FROM events e JOIN incidents i "
-            "ON e.event_id = i.event_id WHERE i.severity >= 4",
-            events=events.to_pandas(),
-            incidents=incidents.to_pandas(),
-        )
+        spec = join("incidents", "event_id", col("severity") >= 4,
+                    select_cols=("amount", "severity"))
+        _, got, _ = run_both(spark, prod_lake, spec)
+        assert got and all(r["severity"] >= 4 for r in got)
 
     def test_empty_build_side(self, spark, prod_lake):
-        events, incidents = prod_lake["events"], prod_lake["incidents"]
-        joined, stats = pruned_hash_join(
-            spark, events, incidents,
-            probe_key="event_id", build_key="event_id",
-            build_pred=col("severity") >= 99,
-        )
-        assert stats["probe_after"] == 0
-        assert joined.count() == 0
+        spec = join("incidents", "event_id", col("severity") >= 99)
+        plan, got, _ = run_both(spark, prod_lake, spec)
+        assert plan.techniques["join"].after == 0
+        assert got == []
 
     def test_uncorrelated_join_correct(self, spark, prod_lake):
-        events, users = prod_lake["events"], prod_lake["users"]
-        joined, stats = pruned_hash_join(
-            spark, events, users,
-            probe_key="user_id", build_key="user_id",
-            build_pred=between(col("user_id"), 100, 160),
+        spec = join("users", "user_id", between(col("user_id"), 100, 160))
+        _, got, _ = run_both(spark, prod_lake, spec)
+        assert got
+
+
+class TestTopKOverJoin:
+    def test_matches_unpruned(self, spark, tmp_path):
+        """Rows that do not join must not set the top-k boundary."""
+        events = spark.range(400).selectExpr("id AS event_id", "id AS ts")
+        incidents = spark.createDataFrame(
+            [(5,), (390,), (395,), (399,)], "event_id long")
+        tables = {
+            "events": LakeTable.write(events, tmp_path / "events",
+                                      n_partitions=8, cluster_by=["event_id"]),
+            "incidents": LakeTable.write(incidents, tmp_path / "incidents",
+                                         n_partitions=1),
+        }
+        spec = q.QuerySpec(
+            qtype=q.TOPK, table="events", k=3, order_col="ts", desc=False,
+            join=q.JoinSpec(build_table="incidents", build_key="event_id",
+                            probe_key="event_id"),
+            plan_ops=(PlanOp("join", order_col_from_probe=True),),
         )
-        unpruned, _ = pruned_hash_join(
-            spark, events, users,
-            probe_key="user_id", build_key="user_id",
-            build_pred=between(col("user_id"), 100, 160),
-            prune=False,
-        )
-        assert joined.count() == unpruned.count()
+        _, got, _ = run_both(spark, tables, spec)
+        assert sorted(r["ts"] for r in got) == [5, 390, 395]

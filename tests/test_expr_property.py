@@ -135,9 +135,7 @@ def test_pandas_mask_matches_duckdb(pdf, pred):
 @settings(max_examples=80, deadline=None)
 @given(pdf=frames(), pred=preds())
 def test_invert_mask_is_complement_of_non_null(pdf, pred):
-    """invert(p) TRUE-rows and p TRUE-rows are disjoint; their union is
-    all rows where p is not NULL."""
-    from repro.core.expr import invert
+    """The inverted predicate (§4.2: NOT p) and p select disjoint rows."""
     m = to_pandas_mask(pred, pdf)
-    mi = to_pandas_mask(invert(pred), pdf)
+    mi = to_pandas_mask(not_(pred), pdf)
     assert not (m & mi).any()

@@ -1,12 +1,15 @@
 """Integration tests for the combined pruning flow (§7)."""
 import datetime as dt
+from types import SimpleNamespace
 
+import pandas as pd
 import pytest
 
 from repro.core import query as q
 from repro.core.expr import between, col, to_spark
 from repro.core.flow import run_pruning_flow
 from repro.core.topk_pruning import PlanOp
+from .helpers import partition_pandas
 
 
 @pytest.fixture(scope="module")
@@ -145,13 +148,6 @@ class TestTopKStage:
         assert r.techniques["topk"].eligible
         assert r.overall_ratio > 0.5
 
-    def test_topk_random_strategy_runs(self, tables):
-        spec = q.QuerySpec(
-            qtype=q.TOPK, table="events", k=10, order_col="amount",
-        )
-        r = run_pruning_flow(spec, tables, topk_strategy="random")
-        assert r.techniques["topk"].eligible
-
 
 class TestCombined:
     def test_three_techniques_on_one_query(self, tables):
@@ -198,3 +194,33 @@ class TestCombined:
         )
         full = tables["events"].full(spark).filter(to_spark(pred)).count()
         assert pruned == full
+
+
+class TestTopKOverJoin:
+    """Top-k over an inner join: only probe rows that join may form the
+    boundary (metadata plus pandas partitions, no Spark)."""
+
+    def test_keeps_every_joined_row(self):
+        events = pd.DataFrame({"event_id": range(400), "ts": range(400)})
+        incidents = pd.DataFrame({"event_id": [5, 390, 395, 399]})
+        ev_metas, ev_frames = partition_pandas(events, 8, cluster_by="event_id")
+        inc_metas, inc_frames = partition_pandas(incidents, 1)
+        frames = {"events": ev_frames, "incidents": inc_frames}
+        tables = {
+            "events": SimpleNamespace(manifest=SimpleNamespace(partitions=ev_metas)),
+            "incidents": SimpleNamespace(
+                manifest=SimpleNamespace(partitions=inc_metas)),
+        }
+        spec = q.QuerySpec(
+            qtype=q.TOPK, table="events", k=3, order_col="ts", desc=False,
+            join=q.JoinSpec(build_table="incidents", build_key="event_id",
+                            probe_key="event_id"),
+            plan_ops=(PlanOp("join", order_col_from_probe=True),),
+        )
+        r = run_pruning_flow(
+            spec, tables, reader=lambda t, m: frames[t][m.pid]
+        )
+        assert r.techniques["topk"].eligible
+        scanned = pd.concat([ev_frames[m.pid] for m in r.final_main_scan])
+        joined = scanned[scanned["event_id"].isin(incidents["event_id"])]
+        assert sorted(joined["ts"])[:3] == [5, 390, 395]

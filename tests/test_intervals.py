@@ -76,10 +76,6 @@ class TestArithmetic:
     def test_sub(self):
         assert iv.sub(Interval(10, 20), Interval(1, 2)) == Interval(8, 19)
 
-    def test_neg(self):
-        assert iv.neg(Interval(1, 2)) == Interval(-2, -1)
-        assert iv.neg(Interval(None, 5)) == Interval(-5, None)
-
     def test_mul_positive(self):
         assert iv.mul(Interval(2, 3), Interval(4, 5)) == Interval(8, 15)
 

@@ -3,14 +3,17 @@ scan-set construction + Table 2 categorization."""
 import pytest
 
 from repro.core.expr import and_, col, like
-from repro.core.filter_pruning import prune_scan_set
+from repro.core.filter_pruning import (
+    FULLY_MATCHING,
+    classify_partition,
+    prune_scan_set,
+)
 from repro.core.limit_pruning import (
     ALREADY_MINIMAL,
     NO_FULLY_MATCHING,
     PRUNED_TO_1,
     PRUNED_TO_GT1,
     UNSUPPORTED_SHAPE,
-    fully_matching_by_inverted_pass,
     prune_for_limit,
 )
 from repro.lake.manifest import PartitionMeta
@@ -19,27 +22,30 @@ from .test_filter_pruning import FIG5_PRED, fig5_partitions
 
 
 class TestInvertedPass:
-    """§4.2: the inverted second pass agrees with direct classification."""
+    """§4.2's inverted pass is the fully-matching class of the one
+    three-valued evaluation; the vectorized scan-set classification and
+    the per-partition ``classify_partition`` agree on it."""
 
     def test_fig5_identifies_partition3(self):
         parts = fig5_partitions()
         retained = prune_scan_set(parts, FIG5_PRED).retained
-        fully = fully_matching_by_inverted_pass(retained, FIG5_PRED)
+        fully = prune_scan_set(retained, FIG5_PRED).fully_matching
         assert [p.pid for p in fully] == [3]
 
     def test_agrees_with_classification(self):
         parts = [meta(i, 10, x=(i * 10, i * 10 + 9)) for i in range(10)]
         pred = col("x") >= 45
         direct = {p.pid for p in prune_scan_set(parts, pred).fully_matching}
-        inverted = {
-            p.pid for p in fully_matching_by_inverted_pass(parts, pred)
+        scalar = {
+            p.pid for p in parts
+            if classify_partition(pred, p.stats) == FULLY_MATCHING
         }
-        assert direct == inverted == {5, 6, 7, 8, 9}
+        assert direct == scalar == {5, 6, 7, 8, 9}
 
     def test_nulls_block_fully_matching(self):
         # All non-null values match but null rows fail the predicate.
         parts = [meta(0, 10, x=(50, 90, 3))]
-        assert fully_matching_by_inverted_pass(parts, col("x") >= 45) == []
+        assert classify_partition(col("x") >= 45, parts[0].stats) != FULLY_MATCHING
         assert prune_scan_set(parts, col("x") >= 45).fully_matching == []
 
 
